@@ -10,7 +10,8 @@ evaluation entry points:
 * ``spy`` — ASCII non-zero pattern of a matrix (Fig. 8 style);
 * ``info`` — structural statistics of a matrix / multiplication;
 * ``serve-bench`` — open-loop serving benchmark through ``repro.serve``
-  (plan caching, batching, admission control; see docs/SERVING.md);
+  (plan caching, admission control; a one-node run of the fleet's
+  event loop; see docs/SERVING.md);
 * ``cluster-bench`` — multi-node fleet benchmark through ``repro.cluster``
   (consistent-hash routing, plan replication, crash failover; see
   docs/SERVING.md);

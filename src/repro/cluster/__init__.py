@@ -10,9 +10,11 @@ its own :class:`~repro.gpu.device.DeviceSpec`.  The cluster layer adds:
 - a cluster plan index that lets spilled and failed-over requests fetch
   plan replicas from peers at modelled interconnect cost instead of
   recomputing (:mod:`repro.cluster.plan_index`);
-- fault-driven failover — whole-node crashes and transient degradation
-  through the :mod:`repro.faults` sites, with hash-ring rebalancing and
-  retry of stranded work onto survivors (:mod:`repro.cluster.bench`);
+- the repository's one serving event loop (:func:`run_fleet`), with
+  fault-driven failover — whole-node crashes and transient degradation
+  through the :mod:`repro.faults` sites, hash-ring rebalancing and
+  retry of stranded work onto survivors; ``ServeScheduler.run`` is a
+  one-node run of it;
 - fleet metrics aggregating every node's registry into one snapshot
   (:mod:`repro.cluster.metrics`);
 - SLO-driven elasticity — an autoscaler resizing the fleet through the
@@ -24,7 +26,14 @@ its own :class:`~repro.gpu.device.DeviceSpec`.  The cluster layer adds:
 """
 
 from .autoscaler import AutoscalePolicy, Autoscaler, ScaleEvent
-from .bench import ClusterBenchReport, ClusterSpec, build_fleet, run_cluster_bench
+from .bench import (
+    ClusterBenchReport,
+    ClusterSpec,
+    FleetRun,
+    build_fleet,
+    run_cluster_bench,
+    run_fleet,
+)
 from .metrics import FleetMetrics
 from .node import ClusterNode, InFlight
 from .plan_index import PlanIndex, plan_transfer_s
@@ -48,6 +57,7 @@ __all__ = [
     "ClusterRouter",
     "ClusterSpec",
     "FleetMetrics",
+    "FleetRun",
     "HashRing",
     "InFlight",
     "PlanIndex",
@@ -58,5 +68,6 @@ __all__ = [
     "plan_transfer_s",
     "request_key",
     "run_cluster_bench",
+    "run_fleet",
     "stable_hash",
 ]

@@ -1,13 +1,14 @@
-"""The cluster event loop and the ``cluster-bench`` driver.
+"""The serving event loop and the ``cluster-bench`` benchmark.
 
-This is the fleet analogue of :mod:`repro.serve.workload`: the same
-open-loop Zipf/Poisson arrival timeline, replayed against N nodes in
-shared virtual time.  The loop advances ``now`` from event to event
-(arrival, stream-free, completion), placing requests through the
-:class:`~repro.cluster.router.ClusterRouter`, consulting each node's
-fault scope for whole-node crashes and transient degradations, fetching
-plan replicas for spilled work, and retrying stranded requests onto
-survivors with the structured retryable taxonomy.
+:func:`run_fleet` is the repository's only serving event loop: it
+replays the open-loop Zipf/Poisson arrival timeline of
+:mod:`repro.serve.workload` against N nodes in shared virtual time, and
+``ServeScheduler.run`` is its one-node case.  The loop advances ``now``
+from event to event (arrival, stream-free, completion), placing
+requests through the :class:`~repro.cluster.router.ClusterRouter`,
+consulting each node's fault scope for whole-node crashes and transient
+degradations, fetching plan replicas for spilled work, and retrying
+stranded requests onto survivors with the structured retryable taxonomy.
 
 Correctness is never assumed: every completed response's output is
 hashed and compared against a single-node reference service, and an
@@ -25,16 +26,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.params import DEFAULT_PARAMS, SpeckParams
+from ..estimate import RowEstimator
 from ..eval.suite import MatrixCase
 from ..faults import FailureInfo, FaultPlan
 from ..gpu.presets import PRESETS
 from ..matrices.csr import CSR
-from ..serve.admission import AdmissionPolicy
+from ..serve.admission import AdmissionController, AdmissionPolicy
 from ..serve.scheduler import Request, RequestOutcome
 from ..serve.service import SpGEMMService
 from ..serve.workload import (
@@ -45,10 +47,17 @@ from ..serve.workload import (
 )
 from .autoscaler import AutoscalePolicy, Autoscaler
 from .metrics import FleetMetrics
-from .node import ClusterNode, InFlight
+from .node import ClusterNode
 from .router import ClusterRouter, RoutingPolicy
 
-__all__ = ["ClusterSpec", "ClusterBenchReport", "build_fleet", "run_cluster_bench"]
+__all__ = [
+    "ClusterSpec",
+    "ClusterBenchReport",
+    "FleetRun",
+    "build_fleet",
+    "run_cluster_bench",
+    "run_fleet",
+]
 
 
 @dataclass(frozen=True)
@@ -140,15 +149,24 @@ def _make_node(
     the autoscaler).
     """
     device = PRESETS[spec.devices[index % len(spec.devices)]]
-    return ClusterNode(
-        name or f"node-{index}",
+    estimator = (
+        RowEstimator(device) if (spec.estimate or spec.speculative) else None
+    )
+    service = SpGEMMService(
         device,
         params,
-        n_workers=spec.workers_per_node,
         plan_cache_bytes=int(spec.plan_cache_mb * 1e6),
-        policy=AdmissionPolicy(max_queue_depth=spec.queue_depth),
-        estimate=spec.estimate,
         speculative=spec.speculative,
+        estimator=estimator,
+    )
+    return ClusterNode(
+        name or f"node-{index}",
+        service,
+        AdmissionController(
+            device, AdmissionPolicy(max_queue_depth=spec.queue_depth)
+        ),
+        n_workers=spec.workers_per_node,
+        estimator=estimator,
     )
 
 
@@ -236,10 +254,10 @@ def _verify_execute_identical(
 
 
 # ---------------------------------------------------------------------------
-# The fleet event loop
+# The serving event loop
 # ---------------------------------------------------------------------------
 @dataclass
-class _FleetRun:
+class FleetRun:
     """Everything one fleet replay produces."""
 
     outcomes: List[RequestOutcome]
@@ -253,16 +271,23 @@ class _FleetRun:
     end_s: float = 0.0
 
 
-def _run_fleet(
-    requests: Sequence[Request],
+def run_fleet(
+    requests: Iterable[Request],
     nodes: Dict[str, ClusterNode],
     spec: ClusterSpec,
     *,
     params: SpeckParams = DEFAULT_PARAMS,
     faults: Optional[FaultPlan] = None,
     reference: Optional[Dict[str, str]] = None,
-) -> _FleetRun:
-    """Replay an arrival timeline against the fleet in virtual time."""
+) -> FleetRun:
+    """Replay an arrival timeline against the nodes in virtual time.
+
+    The repository's one serving event loop: ``cluster-bench`` runs it
+    over a fleet, and :meth:`repro.serve.scheduler.ServeScheduler.run`
+    over a single node (the router then places every request on it).
+    The per-request work is the node's (:class:`ClusterNode`); the loop
+    owns time, placement, failover and retries.
+    """
     router = ClusterRouter(
         nodes,
         RoutingPolicy(
@@ -275,9 +300,7 @@ def _run_fleet(
     # The router copies the node map; membership changes (autoscaler
     # joins, drains) land in router.nodes, so everything downstream —
     # the loop, aggregation, the report — iterates *that* map.
-    run = _FleetRun(
-        outcomes=[], router=router, fleet=fleet, nodes=router.nodes
-    )
+    run = FleetRun(outcomes=[], router=router, fleet=fleet, nodes=router.nodes)
     for node in router.nodes.values():
         node.bind_faults(faults)
         if spec.plan_store_dir is not None:
@@ -319,158 +342,79 @@ def _run_fleet(
     now = 0.0
     i = 0
 
-    def fail(req: Request, status: str, info: FailureInfo, finish: float) -> None:
-        run.outcomes.append(
-            RequestOutcome(
-                request_id=req.id,
-                case_name=req.case_name,
-                status=status,
-                arrival_s=req.arrival_s,
-                finish_s=finish,
-                attempts=req.attempts,
-                info=info,
-            )
-        )
+    def settle(out: RequestOutcome, node: Optional[ClusterNode] = None) -> None:
+        """Record one terminal state, on its node and fleet-wide."""
+        if node is not None:
+            node.settle(out)
+        run.outcomes.append(out)
+        if out.ok:
+            fleet.completion(out.latency_s, out.finish_s - out.start_s)
+            if reference is not None and out.result.c is not None:
+                want = reference.get(out.case_name)
+                if want is not None and _csr_digest(out.result.c) != want:
+                    run.wrong_results += 1
+            run.end_s = max(run.end_s, out.finish_s)
+        elif out.status == "shed":
+            fleet.shed()
+        elif out.status == "timeout":
+            fleet.timeout()
+        else:
+            fleet.failed()
 
     def place(req: Request) -> None:
         node, how = router.place(req, now)
         if node is None:
-            fleet.failed()
-            fail(
-                req,
-                "failed",
-                FailureInfo(
-                    kind="crash",
-                    stage="routing",
-                    tag=req.case_name,
-                    message="no alive nodes to place the request on",
-                    retryable=False,
-                ),
-                now,
-            )
-            return
-        fleet.placement(how)
-        footprint = (
-            node.estimator.footprint_bound_bytes(req.a, req.b)
-            if node.estimator is not None
-            else None
-        )
-        reject = node.admission.admit(
-            req.id,
-            queue_depth=node.queue_depth,
-            input_bytes=req.input_bytes(),
-            committed_bytes=node.committed,
-            footprint=footprint,
-        )
-        if reject is not None:
-            fleet.shed()
-            run.outcomes.append(
-                RequestOutcome(
-                    request_id=req.id,
-                    case_name=req.case_name,
-                    status="shed",
-                    arrival_s=req.arrival_s,
-                    finish_s=now,
-                    attempts=req.attempts,
-                    reject=reject,
-                    info=reject.info,
+            settle(
+                RequestOutcome.terminal(
+                    req,
+                    "failed",
+                    now,
+                    info=FailureInfo(
+                        kind="crash",
+                        stage="routing",
+                        tag=req.case_name,
+                        message="no alive nodes to place the request on",
+                        retryable=False,
+                    ),
                 )
             )
             return
-        node.enqueue(
-            req, node.admission.estimate_bytes(req.input_bytes(), footprint)
-        )
+        fleet.placement(how)
+        shed = node.admit(req, now)
+        if shed is not None:
+            settle(shed, node)
 
-    def retry(req: Request, reason: str) -> None:
+    def retry(req: Request, reason: str, node: ClusterNode) -> None:
         if req.attempts >= spec.max_retries:
-            fleet.failed()
-            fail(
-                req,
-                "failed",
-                FailureInfo(
-                    kind="crash" if reason == "crash" else "injected",
-                    stage="failover",
-                    tag=req.case_name,
-                    message=f"gave up after {req.attempts} re-placements ({reason})",
-                    retryable=False,
-                ),
-                now,
+            info = FailureInfo(
+                kind="crash" if reason == "crash" else "injected",
+                stage="failover",
+                tag=req.case_name,
+                message=f"gave up after {req.attempts} re-placements ({reason})",
+                retryable=False,
             )
-            return
-        if not router.retry_budget.try_spend():
+        elif not router.retry_budget.try_spend():
             # The fleet-wide budget is exhausted: fail terminally instead
             # of feeding a retry storm.  Still a structured outcome —
             # conservation holds.
             fleet.retry_denied()
-            fleet.failed()
-            fail(
-                req,
-                "failed",
-                FailureInfo(
-                    kind="shed",
-                    stage="retry_budget",
-                    tag=req.case_name,
-                    message=(
-                        f"retry after {reason} denied: fleet budget "
-                        f"{router.retry_budget.allowance} spent"
-                    ),
-                    retryable=False,
+            info = FailureInfo(
+                kind="shed",
+                stage="retry_budget",
+                tag=req.case_name,
+                message=(
+                    f"retry after {reason} denied: fleet budget "
+                    f"{router.retry_budget.allowance} spent"
                 ),
-                now,
+                retryable=False,
             )
+        else:
+            req.attempts += 1
+            run.retried += 1
+            fleet.retry(reason)
+            place(req)
             return
-        req.attempts += 1
-        run.retried += 1
-        fleet.retry(reason)
-        place(req)
-
-    def pop_request(node: ClusterNode) -> Optional[Request]:
-        """Next runnable request (priority order); expires stale ones."""
-        node.queue.sort(key=lambda r: (r.priority, r.arrival_s, r.id))
-        while node.queue:
-            req = node.queue.pop(0)
-            if req.timeout_s is not None and now - req.arrival_s > req.timeout_s:
-                fleet.timeout()
-                node.release(req.id)
-                fail(
-                    req,
-                    "timeout",
-                    FailureInfo(
-                        kind="timeout",
-                        stage="queue",
-                        tag=req.case_name,
-                        message=(
-                            f"request {req.id} waited {now - req.arrival_s:.4f}s "
-                            f"on {node.name}, over its deadline"
-                        ),
-                        retryable=True,
-                    ),
-                    now,
-                )
-                continue
-            return req
-        return None
-
-    def finalize(node: ClusterNode, inf: InFlight) -> None:
-        node.release(inf.request.id)
-        out = RequestOutcome(
-            request_id=inf.request.id,
-            case_name=inf.request.case_name,
-            status="ok",
-            arrival_s=inf.request.arrival_s,
-            start_s=inf.start_s,
-            finish_s=inf.finish_s,
-            cache_hit=inf.cache_hit,
-            attempts=inf.request.attempts,
-            result=inf.result,
-        )
-        fleet.completion(out.latency_s, inf.finish_s - inf.start_s)
-        if reference is not None and inf.result.c is not None:
-            want = reference.get(inf.request.case_name)
-            if want is not None and _csr_digest(inf.result.c) != want:
-                run.wrong_results += 1
-        run.outcomes.append(out)
-        run.end_s = max(run.end_s, inf.finish_s)
+        settle(RequestOutcome.terminal(req, "failed", now, info=info), node)
 
     while True:
         progressed = False
@@ -493,15 +437,8 @@ def _run_fleet(
         # 1. Completions due by `now`.
         for name in node_order:
             node = router.nodes[name]
-            if not node.inflight:
-                continue
-            due = [inf for inf in node.inflight if inf.finish_s <= now]
-            if due:
-                node.inflight = [
-                    inf for inf in node.inflight if inf.finish_s > now
-                ]
-                for inf in sorted(due, key=lambda x: (x.finish_s, x.request.id)):
-                    finalize(node, inf)
+            for out in node.complete(now):
+                settle(out, node)
 
         # 2. Arrivals due by `now`.
         while i < len(arrivals) and arrivals[i].arrival_s <= now:
@@ -524,7 +461,7 @@ def _run_fleet(
                     for req in sorted(
                         stranded, key=lambda r: (r.arrival_s, r.id)
                     ):
-                        retry(req, "crash")
+                        retry(req, "crash", node)
                     progressed = True
                     break
                 if node.scope.node_degrade():
@@ -532,35 +469,16 @@ def _run_fleet(
                     node.degraded_until = max(
                         node.degraded_until, now + spec.degrade_duration_s
                     )
-                req = pop_request(node)
+                req, expired = node.pop_request(now)
+                for out in expired:
+                    settle(out, node)
                 if req is None:
                     break
                 fetched, transfer_s = router.fetch_plan_for(node, req)
                 if fetched:
                     fleet.plan_fetch(transfer_s)
-                # Brownout rung under this node's instantaneous pressure.
-                binfo = node.admission.brownout_mode(
-                    queue_depth=node.queue_depth,
-                    committed_bytes=node.committed,
-                )
-                fleet.brownout(binfo.mode)
-                if req.workload is not None:
-                    res = req.workload(
-                        node.service,
-                        req.a,
-                        req.b,
-                        faults=faults,
-                        case_name=req.case_name,
-                        brownout=binfo,
-                    )
-                else:
-                    res = node.service.multiply(
-                        req.a,
-                        req.b,
-                        faults=faults,
-                        case_name=req.case_name,
-                        brownout=binfo,
-                    )
+                brownout, res = node.execute(req, faults)
+                fleet.brownout(brownout.mode)
                 router.note_plan(node, req)
                 node.note_served(
                     hit=res.decisions.get("plan_cache") == "hit",
@@ -579,38 +497,29 @@ def _run_fleet(
                     fleet.breaker_transition(node.name, new_state)
                 if res.valid:
                     slow = spec.degrade_factor if node.degraded(now) else 1.0
-                    service_s = res.time_s * slow + transfer_s
-                    node.workers[w] = now + service_s
-                    node.inflight.append(
-                        InFlight(
-                            request=req,
-                            worker=w,
-                            start_s=now,
-                            finish_s=now + service_s,
-                            result=res,
-                            cache_hit=res.decisions.get("plan_cache") == "hit",
-                            plan_fetch_s=transfer_s,
-                        )
+                    node.start(
+                        req, w, now, res.time_s * slow + transfer_s, res, brownout
                     )
-                else:
+                elif res.failure_info is not None and res.failure_info.retryable:
                     node.release(req.id)
-                    if res.failure_info is not None and res.failure_info.retryable:
-                        retry(req, "fault")
-                        progressed = True
-                    else:
-                        fleet.failed()
-                        fail(
+                    retry(req, "fault", node)
+                    progressed = True
+                else:
+                    settle(
+                        RequestOutcome.terminal(
                             req,
                             "failed",
-                            res.failure_info
+                            now,
+                            info=res.failure_info
                             or FailureInfo(
                                 kind="crash",
                                 stage="execute",
                                 tag=req.case_name,
                                 message=res.failure,
                             ),
-                            now,
-                        )
+                        ),
+                        node,
+                    )
 
         if progressed:
             continue  # rerouted work may land on nodes already visited
@@ -819,7 +728,7 @@ def run_cluster_bench(
     reference = _reference_digests(requests, cluster.devices[0], params)
 
     nodes = build_fleet(cluster, params)
-    run = _run_fleet(
+    run = run_fleet(
         requests,
         nodes,
         cluster,
@@ -839,7 +748,7 @@ def run_cluster_bench(
             autoscale=False,
         )
         single_nodes = build_fleet(single_cluster, params)
-        single_run = _run_fleet(
+        single_run = run_fleet(
             build_requests(cases, spec, artifacts=artifacts),
             single_nodes,
             single_cluster,

@@ -1,34 +1,46 @@
-"""One serving node of the cluster: a `SpGEMMService` plus fleet state.
+"""One serving node: a `SpGEMMService` plus its queue and streams.
 
 A :class:`ClusterNode` wraps the single-host serving stack from
 :mod:`repro.serve` — service (engine + plan cache + metrics) and
 admission controller over one :class:`~repro.gpu.device.DeviceSpec` —
-and adds the state the cluster layer needs: a per-node request queue,
-simulated device streams (busy-until times in virtual seconds), health
-(`up`/`down`, plus a degraded-until horizon), and the per-node
+and adds the serving state: a priority queue, simulated device streams
+(busy-until times in virtual seconds), health (`up`/`down`, plus a
+degraded-until horizon), and the per-node
 :class:`~repro.faults.FaultScope` that drives crash/degrade injection.
 
-Nodes hold state only; the event loop that moves virtual time lives in
-:mod:`repro.cluster.bench`, and placement policy in
-:mod:`repro.cluster.router`.
+The node owns the per-request work of serving: admission and
+committed-byte accounting, queue order and deadline expiry, the brownout
+rung and the plain-or-workload execution of a dispatch, and the
+:class:`~repro.serve.scheduler.RequestOutcome` of every terminal state.
+The one event loop that moves virtual time is
+:func:`repro.cluster.bench.run_fleet` (``ServeScheduler.run`` is a
+one-node run of it); placement policy lives in :mod:`repro.cluster.router`.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..core.params import DEFAULT_PARAMS, SpeckParams
 from ..estimate import RowEstimator
-from ..faults import FaultPlan, FaultScope, null_scope
-from ..gpu import DeviceSpec
+from ..faults import FailureInfo, FaultPlan, FaultScope, null_scope
 from ..result import SpGEMMResult
-from ..serve.admission import AdmissionController, AdmissionPolicy
-from ..serve.scheduler import Request
+from ..serve.admission import AdmissionController, BrownoutInfo
+from ..serve.scheduler import Request, RequestOutcome
 from ..serve.service import SpGEMMService
 
 __all__ = ["ClusterNode", "InFlight"]
+
+#: Node counter bumped by each terminal status: (name, help).
+_STATUS_COUNTERS = {
+    "ok": ("scheduler.completed", "requests served"),
+    "shed": ("scheduler.shed", "requests shed"),
+    "timeout": ("scheduler.timeouts", "queue deadline misses"),
+    "failed": ("scheduler.failed", "requests failed terminally"),
+}
 
 
 @dataclass
@@ -41,54 +53,38 @@ class InFlight:
     finish_s: float
     result: SpGEMMResult
     cache_hit: bool
-    #: Modelled interconnect seconds spent fetching a peer's plan replica
-    #: before this run (0 when served from the local cache or cold).
-    plan_fetch_s: float = 0.0
+    #: Brownout rung the dispatch planned under.
+    brownout_mode: str = "full"
 
 
 class ClusterNode:
-    """One member of the serving fleet.
+    """One serving node: a service, its admission controller and streams.
 
-    Parameters mirror :class:`~repro.serve.service.SpGEMMService` /
-    :class:`~repro.serve.admission.AdmissionPolicy`; ``n_workers`` is the
-    number of simulated device streams draining this node's queue.
-    ``estimate`` gives the node a :class:`~repro.estimate.RowEstimator`
-    (sampled footprint bounds for admission and routing);
-    ``speculative`` additionally plans cold requests from the estimates
-    (and implies ``estimate``).
+    ``n_workers`` is the number of simulated device streams draining
+    this node's queue.  ``estimator`` (optional) supplies sampled
+    footprint bounds for admission and routing, and orders the queue
+    cheapest-first within a priority class (see :meth:`admit`).
     """
 
     def __init__(
         self,
         name: str,
-        device: DeviceSpec,
-        params: SpeckParams = DEFAULT_PARAMS,
+        service: SpGEMMService,
+        admission: AdmissionController,
         *,
         n_workers: int = 2,
-        plan_cache_bytes: int = 256 * 1024 * 1024,
-        policy: Optional[AdmissionPolicy] = None,
-        context_cache_entries: int = 32,
-        estimate: bool = False,
-        speculative: bool = False,
+        estimator: Optional[RowEstimator] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("a node needs at least one worker")
         self.name = name
-        self.device = device
-        self.estimator = (
-            RowEstimator(device) if (estimate or speculative) else None
-        )
-        self.service = SpGEMMService(
-            device,
-            params,
-            plan_cache_bytes=plan_cache_bytes,
-            context_cache_entries=context_cache_entries,
-            speculative=speculative,
-            estimator=self.estimator,
-        )
-        self.admission = AdmissionController(device, policy)
+        self.service = service
+        self.device = service.device
+        self.admission = admission
+        self.estimator = estimator
         self.workers: List[float] = [0.0] * int(n_workers)
-        self.queue: List[Request] = []
+        #: Heap of ``(priority, cost bucket, arrival, id, request)``.
+        self.queue: List[Tuple[int, int, float, int, Request]] = []
         self.inflight: List[InFlight] = []
         #: Conservative committed bytes of queued + in-flight requests.
         self.committed = 0
@@ -161,27 +157,187 @@ class ClusterNode:
         busy = [t for t in self.workers if t > now]
         return min(busy) if busy else None
 
+    def _footprint(self, req: Request) -> Optional[int]:
+        """Sampled footprint bound, or ``None`` (the admission controller
+        then falls back to its blind ``output_factor`` heuristic)."""
+        if self.estimator is None:
+            return None
+        return self.estimator.footprint_bound_bytes(req.a, req.b)
+
     def est_bytes_for(self, req: Request) -> int:
         """Admission/routing footprint of one request on this node.
 
         With an estimator this is the sampled footprint bound (usually
         far tighter than the blind ``output_factor`` multiple, so
-        estimator-equipped fleets shed and spill less on memory
+        estimator-equipped nodes shed and spill less on memory
         pressure); without one, the controller's blind heuristic."""
-        footprint = (
-            self.estimator.footprint_bound_bytes(req.a, req.b)
-            if self.estimator is not None
-            else None
+        return self.admission.estimate_bytes(
+            req.input_bytes(), self._footprint(req)
         )
-        return self.admission.estimate_bytes(req.input_bytes(), footprint)
+
+    def _cost_bucket(self, req: Request) -> int:
+        """Coarse estimated-cost class for queue order (0 = cheapest):
+        log2 of the estimated products, 0 without an estimator."""
+        if self.estimator is None:
+            return 0
+        hint = self.estimator.estimate(req.a, req.b).cost_hint
+        return int(math.log2(hint + 1.0)) if hint > 0 else 0
+
+    # -- the per-request serving work ------------------------------------
+    def admit(self, req: Request, now: float) -> Optional[RequestOutcome]:
+        """Admission control: enqueue ``req``, or return its shed outcome.
+
+        The queue is ordered by ``(priority, cost bucket, arrival, id)``:
+        with an estimator, cheaper requests go first within a priority
+        class (bucketed shortest-job-first — similar-cost requests keep
+        arrival order, so nothing starves); without one the bucket is 0
+        and the order is plain priority, then arrival.
+        """
+        self.service.metrics.counter(
+            "scheduler.arrivals", "admission attempts"
+        ).inc()
+        footprint = self._footprint(req)
+        reject = self.admission.admit(
+            req.id,
+            queue_depth=self.queue_depth,
+            input_bytes=req.input_bytes(),
+            committed_bytes=self.committed,
+            footprint=footprint,
+        )
+        if reject is not None:
+            return RequestOutcome.terminal(
+                req, "shed", now, reject=reject, info=reject.info
+            )
+        est = self.admission.estimate_bytes(req.input_bytes(), footprint)
+        self.enqueue(req, est)
+        return None
 
     def enqueue(self, req: Request, est_bytes: int) -> None:
-        self.queue.append(req)
+        """Queue an admitted request and commit its estimated bytes."""
+        heapq.heappush(
+            self.queue,
+            (req.priority, self._cost_bucket(req), req.arrival_s, req.id, req),
+        )
         self.inflight_bytes[req.id] = est_bytes
         self.committed += est_bytes
+        self._depth_gauge()
+
+    def pop_request(
+        self, now: float
+    ) -> Tuple[Optional[Request], List[RequestOutcome]]:
+        """The next request in queue order, plus the timeout outcomes of
+        the requests whose queue deadline passed on the way to it."""
+        expired: List[RequestOutcome] = []
+        req: Optional[Request] = None
+        while self.queue and req is None:
+            req = heapq.heappop(self.queue)[-1]
+            if req.timeout_s is not None and now - req.arrival_s > req.timeout_s:
+                expired.append(
+                    RequestOutcome.terminal(
+                        req,
+                        "timeout",
+                        now,
+                        info=FailureInfo(
+                            kind="timeout",
+                            stage="queue",
+                            tag=req.case_name,
+                            message=(
+                                f"request {req.id} waited "
+                                f"{now - req.arrival_s:.4f}s on {self.name}, "
+                                "over its deadline"
+                            ),
+                            retryable=True,
+                        ),
+                    )
+                )
+                req = None
+        self._depth_gauge()
+        return req, expired
+
+    def _depth_gauge(self) -> None:
+        self.service.metrics.gauge(
+            "scheduler.queue_depth", "requests waiting"
+        ).set(self.queue_depth)
+
+    def execute(
+        self, req: Request, faults: Optional[FaultPlan]
+    ) -> Tuple[BrownoutInfo, SpGEMMResult]:
+        """Run a popped request under this node's brownout rung.
+
+        The rung is measured when the work *starts*, not when it was
+        admitted.  ``req.workload`` (masked, chained, incremental — see
+        :mod:`repro.graph`) runs in place of a plain multiply.
+        """
+        brownout = self.admission.brownout_mode(
+            queue_depth=self.queue_depth, committed_bytes=self.committed
+        )
+        kw = dict(faults=faults, case_name=req.case_name, brownout=brownout)
+        if req.workload is not None:
+            res = req.workload(self.service, req.a, req.b, **kw)
+        else:
+            res = self.service.multiply(req.a, req.b, **kw)
+        return brownout, res
+
+    def start(
+        self,
+        req: Request,
+        worker: int,
+        now: float,
+        service_s: float,
+        res: SpGEMMResult,
+        brownout: BrownoutInfo,
+    ) -> None:
+        """Occupy ``worker`` with a successful dispatch for ``service_s``."""
+        self.workers[worker] = now + service_s
+        self.inflight.append(
+            InFlight(
+                request=req,
+                worker=worker,
+                start_s=now,
+                finish_s=now + service_s,
+                result=res,
+                cache_hit=res.decisions.get("plan_cache") == "hit",
+                brownout_mode=brownout.mode,
+            )
+        )
+
+    def complete(self, now: float) -> List[RequestOutcome]:
+        """Outcomes of the in-flight requests finished by ``now``, in
+        ``(finish, id)`` order."""
+        due = [inf for inf in self.inflight if inf.finish_s <= now]
+        if not due:
+            return []
+        self.inflight = [inf for inf in self.inflight if inf.finish_s > now]
+        due.sort(key=lambda inf: (inf.finish_s, inf.request.id))
+        return [
+            RequestOutcome.terminal(
+                inf.request,
+                "ok",
+                inf.finish_s,
+                start_s=inf.start_s,
+                cache_hit=inf.cache_hit,
+                brownout_mode=inf.brownout_mode,
+                result=inf.result,
+            )
+            for inf in due
+        ]
+
+    def settle(self, out: RequestOutcome) -> None:
+        """Account one terminal state: free the request's committed bytes
+        and count it in this node's ``scheduler.*`` metrics."""
+        self.release(out.request_id)
+        metrics = self.service.metrics
+        metrics.counter(*_STATUS_COUNTERS[out.status]).inc()
+        if out.ok:
+            metrics.histogram(
+                "scheduler.latency_s", "arrival to completion"
+            ).observe(out.latency_s)
+            metrics.histogram("scheduler.wait_s", "queue wait").observe(
+                out.wait_s
+            )
 
     def release(self, request_id: int) -> None:
-        """Return a request's committed bytes (on any terminal state)."""
+        """Return a request's committed bytes (when it leaves the node)."""
         self.committed -= self.inflight_bytes.pop(request_id, 0)
 
     def note_served(self, *, hit: bool, fetched: bool) -> None:
@@ -203,7 +359,9 @@ class ClusterNode:
         Returns them for rerouting; their committed bytes are released
         and the streams cleared.  The caller marks the node down.
         """
-        stranded = [inf.request for inf in self.inflight] + list(self.queue)
+        stranded = [inf.request for inf in self.inflight] + [
+            entry[-1] for entry in self.queue
+        ]
         self.inflight.clear()
         self.queue.clear()
         for req in stranded:

@@ -3,9 +3,10 @@
 A synchronous-core, concurrency-aware service wrapping the spECK engine
 for call-many-times workloads: structural plan caching (analysis, binning
 and symbolic artifacts reused across requests with the same operand
-structure), request scheduling with priorities, same-A batching and
-deadlines, admission control with structured load shedding, and service
-metrics.  See ``docs/SERVING.md`` for the architecture.
+structure), request scheduling with priorities and deadlines (a one-node
+run of the fleet's event loop, :func:`repro.cluster.bench.run_fleet` —
+the only serving loop), admission control with structured load shedding,
+and service metrics.  See ``docs/SERVING.md`` for the architecture.
 """
 
 from .admission import (

@@ -1,12 +1,21 @@
-"""Request scheduling: bounded queue, priorities, batching, deadlines.
+"""Request scheduling: bounded queue, priorities, deadlines, retries.
 
 The scheduler turns the synchronous :class:`~repro.serve.service.SpGEMMService`
 into a *service under load*: requests arrive on an open-loop timeline, an
 :class:`~repro.serve.admission.AdmissionController` sheds what the queue
 or the device cannot absorb, and a pool of simulated workers (device
-streams) drains the queue in priority order, batching requests that share
-the same A operand so one analysis serves N numerics (the plan cache makes
-every request after the first in a structure group a hit).
+streams) drains the queue in priority order.
+
+There is one serving loop in the repository: :meth:`ServeScheduler.run`
+is a one-node run of the fleet's event loop
+(:func:`repro.cluster.bench.run_fleet`), and the per-request work —
+admission, queue order, deadline expiry, the brownout rung, execution,
+committed-byte accounting, the outcome — lives on
+:class:`~repro.cluster.node.ClusterNode`.  Requests are not batched:
+the plan cache already serves a same-structure request as a hit, and a
+request served in a batch still pays its own modelled time, so same-A
+batching only reordered the queue (at 10x overload it cost serve-bench
+p99 40%: 21.3 ms with it, 15.2 ms without).
 
 Time is *virtual* and driven by the cost model: a worker that starts a
 request at ``t`` is busy until ``t + result.time_s``.  This mirrors how
@@ -14,31 +23,25 @@ the whole repository treats the simulated device — host-side compute is
 real, wall time is modelled — and makes every run exactly reproducible
 from the workload seed.
 
-Failure semantics reuse the PR-1 taxonomy end to end: engine failures
-surface as invalid results with :class:`~repro.faults.FailureInfo`;
-retryable ones are re-queued up to ``max_retries`` times; queue deadline
-misses become ``kind="timeout"`` infos; sheds carry the admission
-controller's :class:`~repro.serve.admission.ServiceReject`.  Nothing in
-this module raises on a per-request basis.
+Failure semantics use the :class:`~repro.faults.FailureInfo` taxonomy
+end to end: engine failures surface as invalid results; retryable ones
+are re-placed up to ``max_retries`` times; queue deadline misses become
+``kind="timeout"`` infos; sheds carry the admission controller's
+:class:`~repro.serve.admission.ServiceReject`.  Nothing here raises on a
+per-request basis.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, List, Optional
 
 from ..core.context import device_csr_bytes
 from ..estimate import RowEstimator
 from ..faults import FailureInfo, FaultPlan
 from ..matrices.csr import CSR
 from ..result import SpGEMMResult
-from .admission import (
-    AdmissionController,
-    AdmissionPolicy,
-    BrownoutInfo,
-    ServiceReject,
-)
+from .admission import AdmissionController, AdmissionPolicy, ServiceReject
 from .service import SpGEMMService
 
 __all__ = ["Request", "RequestOutcome", "ServeScheduler"]
@@ -93,6 +96,21 @@ class RequestOutcome:
     reject: Optional[ServiceReject] = None
     info: Optional[FailureInfo] = None
 
+    @classmethod
+    def terminal(
+        cls, req: Request, status: str, finish_s: float, **fields
+    ) -> "RequestOutcome":
+        """The outcome of ``req`` reaching ``status`` at ``finish_s``."""
+        return cls(
+            request_id=req.id,
+            case_name=req.case_name,
+            status=status,
+            arrival_s=req.arrival_s,
+            finish_s=finish_s,
+            attempts=req.attempts,
+            **fields,
+        )
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
@@ -108,23 +126,25 @@ class RequestOutcome:
 
 
 class ServeScheduler:
-    """Priority scheduler over a worker pool, in virtual time.
+    """One serving node over a worker pool, in virtual time.
+
+    :meth:`run` is a one-node run of the fleet's event loop
+    (:func:`repro.cluster.bench.run_fleet`): admission, queue order and
+    deadlines, the brownout rung, retries and workload dispatch are the
+    fleet's, so the two cannot drift apart.
 
     Parameters
     ----------
     service:
         The synchronous core executing each multiply.
     n_workers:
-        Concurrent device streams; each serves one (batched) dispatch at
-        a time.
+        Concurrent device streams; each serves one request at a time.
     policy:
         Admission thresholds (queue bound, memory headroom).
-    max_batch:
-        Most requests one dispatch may take from the queue when they
-        share A's structural fingerprint (one analysis, N numerics).
     max_retries:
-        Scheduler-level re-queues of a retryable failed request, *on top
-        of* the engine's own internal fallback attempt.
+        Re-placements of a retryable failed request, *on top of* the
+        engine's own internal fallback attempt (subject to the fleet
+        loop's retry budget).
     default_timeout_s:
         Queue deadline applied to requests that carry none.
     faults:
@@ -132,13 +152,9 @@ class ServeScheduler:
     estimator:
         Optional :class:`~repro.estimate.RowEstimator`.  When set, the
         admission memory-headroom check uses the sampled footprint bound
-        instead of the blind ``output_factor`` heuristic, and queue
-        ordering gains a coarse estimated-cost hint: within a priority
-        class, cheaper requests dispatch first (bucketed shortest-job-
-        first — the bucket is log2 of estimated products, so arrival
-        order still breaks ties among similar-cost requests and nothing
-        starves).  Absent an estimator, behaviour is bit-identical to
-        before.
+        instead of the blind ``output_factor`` heuristic, and the queue
+        orders cheaper requests first within a priority class (see
+        :meth:`repro.cluster.node.ClusterNode.admit`).
     """
 
     def __init__(
@@ -147,7 +163,6 @@ class ServeScheduler:
         *,
         n_workers: int = 4,
         policy: Optional[AdmissionPolicy] = None,
-        max_batch: int = 8,
         max_retries: int = 1,
         default_timeout_s: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
@@ -155,280 +170,43 @@ class ServeScheduler:
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self.service = service
         self.n_workers = int(n_workers)
         self.admission = AdmissionController(service.device, policy)
-        self.max_batch = int(max_batch)
         self.max_retries = int(max_retries)
         self.default_timeout_s = default_timeout_s
         self.faults = faults
         self.estimator = estimator
-        self.metrics = service.metrics
 
-    # ------------------------------------------------------------------
-    def _footprint(self, req: Request) -> Optional[int]:
-        """Sampled footprint bound for admission; ``None`` without an
-        estimator (the controller falls back to its blind heuristic)."""
-        if self.estimator is None:
-            return None
-        return self.estimator.footprint_bound_bytes(req.a, req.b)
-
-    def _cost_bucket(self, req: Request) -> int:
-        """Coarse estimated-cost class for queue ordering (0 = cheapest)."""
-        if self.estimator is None:
-            return 0
-        hint = self.estimator.estimate(req.a, req.b).cost_hint
-        return int(math.log2(hint + 1.0)) if hint > 0 else 0
-
-    # ------------------------------------------------------------------
     def run(self, requests: Iterable[Request]) -> List[RequestOutcome]:
-        """Drain an arrival timeline; returns one outcome per request.
+        """Drain an arrival timeline; returns one outcome per request,
+        in the order requests reached their terminal state.
 
-        Arrivals are processed in ``arrival_s`` order; after the last
-        arrival the queue keeps draining until empty (open-loop workload,
-        bounded by admission control, never by crashing).
+        After the last arrival the queue keeps draining until empty
+        (open-loop workload, bounded by admission control, never by
+        crashing).
         """
-        arrivals = sorted(requests, key=lambda r: (r.arrival_s, r.id))
-        m = self.metrics
-        queue: List[Request] = []
-        outcomes: List[RequestOutcome] = []
-        workers = [0.0] * self.n_workers
-        committed = 0  # bytes of queued + in-flight requests
-        inflight_bytes: Dict[int, int] = {}
-        self._pending_timeouts: List[RequestOutcome] = []
-        self._retry_queue: List[Request] = []
-        now = 0.0
-        i = 0
+        # The cluster package builds on this module, so it is imported
+        # here rather than at module level.
+        from ..cluster.bench import ClusterSpec, run_fleet
+        from ..cluster.node import ClusterNode
 
-        def depth_gauge() -> None:
-            m.gauge("scheduler.queue_depth", "requests waiting").set(len(queue))
-
-        while True:
-            # 1. admit everything that has arrived by `now`.
-            while i < len(arrivals) and arrivals[i].arrival_s <= now:
-                req = arrivals[i]
-                i += 1
-                m.counter("scheduler.arrivals", "requests offered").inc()
-                footprint = self._footprint(req)
-                reject = self.admission.admit(
-                    req.id,
-                    queue_depth=len(queue),
-                    input_bytes=req.input_bytes(),
-                    committed_bytes=committed,
-                    footprint=footprint,
-                )
-                if reject is not None:
-                    m.counter("scheduler.shed", "requests shed").inc()
-                    outcomes.append(
-                        RequestOutcome(
-                            request_id=req.id,
-                            case_name=req.case_name,
-                            status="shed",
-                            arrival_s=req.arrival_s,
-                            finish_s=now,
-                            reject=reject,
-                            info=reject.info,
-                        )
-                    )
-                    continue
-                est = self.admission.estimate_bytes(req.input_bytes(), footprint)
-                inflight_bytes[req.id] = est
-                committed += est
-                queue.append(req)
-                depth_gauge()
-
-            # 2. dispatch onto any idle worker.
-            idle = [w for w in range(self.n_workers) if workers[w] <= now]
-            while idle and queue:
-                w = idle.pop()
-                # Degradation rung of this dispatch: pressure is measured
-                # when the work *starts*, not when it was admitted.
-                brownout = self.admission.brownout_mode(
-                    queue_depth=len(queue), committed_bytes=committed
-                )
-                batch = self._take_batch(queue, now)
-                if not batch:
-                    break
-                t = now
-                for req in batch:
-                    out = self._execute(req, start_s=t, brownout=brownout)
-                    if out is None:  # re-queued for retry
-                        continue
-                    if out.ok and out.result is not None:
-                        t = out.start_s + out.result.time_s
-                        out.finish_s = t
-                        m.histogram(
-                            "scheduler.latency_s", "arrival to completion"
-                        ).observe(out.latency_s)
-                        m.histogram(
-                            "scheduler.wait_s", "queue wait"
-                        ).observe(out.wait_s)
-                        m.counter("scheduler.completed", "requests served").inc()
-                    committed -= inflight_bytes.pop(req.id, 0)
-                    outcomes.append(out)
-                workers[w] = max(t, now)
-                depth_gauge()
-
-            # Settle requests that expired or asked for a retry during
-            # the dispatches above.
-            for out in self._pending_timeouts:
-                committed -= inflight_bytes.pop(out.request_id, 0)
-                outcomes.append(out)
-            self._pending_timeouts.clear()
-            if self._retry_queue:
-                queue.extend(self._retry_queue)
-                self._retry_queue.clear()
-                continue  # an idle worker may take the retry immediately
-
-            # 3. advance virtual time to the next event.
-            next_arrival = arrivals[i].arrival_s if i < len(arrivals) else None
-            busy = [t for t in workers if t > now]
-            next_free = min(busy) if busy else None
-            if queue and next_free is not None:
-                # Work is waiting: the next dispatch happens when a worker
-                # frees (or sooner if an arrival lands first — it may have
-                # higher priority).
-                now = (
-                    min(next_free, next_arrival)
-                    if next_arrival is not None
-                    else next_free
-                )
-            elif next_arrival is not None:
-                now = max(now, next_arrival)
-            elif queue and next_free is None:
-                # All workers idle but the loop above stopped: impossible
-                # unless _take_batch returned nothing; guard anyway.
-                break
-            elif next_free is not None:
-                now = next_free
-            else:
-                break
-        return outcomes
-
-    # ------------------------------------------------------------------
-    def _take_batch(self, queue: List[Request], now: float) -> List[Request]:
-        """Pop the best request plus queue-mates sharing A's structure.
-
-        Best = lowest (priority, arrival, id) — with an estimator, lowest
-        (priority, cost bucket, arrival, id).  Same-A requests ride along
-        regardless of their own priority — the whole point of batching is
-        that their marginal cost is one numeric pass.
-        """
-        if self.estimator is None:
-            queue.sort(key=lambda r: (r.priority, r.arrival_s, r.id))
-        else:
-            queue.sort(
-                key=lambda r: (r.priority, self._cost_bucket(r), r.arrival_s, r.id)
-            )
-        batch: List[Request] = []
-        head_fp: Optional[str] = None
-        kept: List[Request] = []
-        for req in queue:
-            timeout = (
-                req.timeout_s if req.timeout_s is not None else self.default_timeout_s
-            )
-            if not batch:
-                if timeout is not None and now - req.arrival_s > timeout:
-                    self._timeout(req, now)
-                    continue
-                batch.append(req)
-                head_fp = req.a.fingerprint()
-            elif (
-                len(batch) < self.max_batch
-                and req.a.fingerprint() == head_fp
-                and not (timeout is not None and now - req.arrival_s > timeout)
-            ):
-                batch.append(req)
-            else:
-                kept.append(req)
-        queue[:] = kept
-        if len(batch) > 1:
-            self.metrics.counter("scheduler.batches", "multi-request dispatches").inc()
-            self.metrics.counter(
-                "scheduler.batched_requests", "requests served via batching"
-            ).inc(len(batch) - 1)
-        return batch
-
-    def _timeout(self, req: Request, now: float) -> None:
-        self.metrics.counter("scheduler.timeouts", "queue deadline misses").inc()
-        self._pending_timeouts.append(
-            RequestOutcome(
-                request_id=req.id,
-                case_name=req.case_name,
-                status="timeout",
-                arrival_s=req.arrival_s,
-                finish_s=now,
-                attempts=req.attempts,
-                info=FailureInfo(
-                    kind="timeout",
-                    stage="queue",
-                    tag=req.case_name,
-                    message=(
-                        f"request {req.id} waited {now - req.arrival_s:.4f}s, "
-                        "over its deadline"
-                    ),
-                    retryable=True,
-                ),
-            )
+        node = ClusterNode(
+            "node-0",
+            self.service,
+            self.admission,
+            n_workers=self.n_workers,
+            estimator=self.estimator,
         )
-
-    def _execute(
-        self,
-        req: Request,
-        *,
-        start_s: float,
-        brownout: Optional[BrownoutInfo] = None,
-    ) -> Optional[RequestOutcome]:
-        """Run one request; ``None`` means it was re-queued for retry."""
-        if req.workload is not None:
-            res = req.workload(
-                self.service,
-                req.a,
-                req.b,
-                faults=self.faults,
-                case_name=req.case_name,
-                brownout=brownout,
-            )
-        else:
-            res = self.service.multiply(
-                req.a,
-                req.b,
-                faults=self.faults,
-                case_name=req.case_name,
-                brownout=brownout,
-            )
-        hit = res.decisions.get("plan_cache") == "hit"
-        if res.valid:
-            return RequestOutcome(
-                request_id=req.id,
-                case_name=req.case_name,
-                status="ok",
-                arrival_s=req.arrival_s,
-                start_s=start_s,
-                cache_hit=hit,
-                attempts=req.attempts,
-                brownout_mode=brownout.mode if brownout is not None else "full",
-                result=res,
-            )
-        retryable = bool(res.failure_info and res.failure_info.retryable)
-        if retryable and req.attempts < self.max_retries:
-            req.attempts += 1
-            self.metrics.counter(
-                "scheduler.retries", "requests re-queued after failure"
-            ).inc()
-            self._retry_queue.append(req)
-            return None
-        self.metrics.counter("scheduler.failed", "requests failed terminally").inc()
-        return RequestOutcome(
-            request_id=req.id,
-            case_name=req.case_name,
-            status="failed",
-            arrival_s=req.arrival_s,
-            start_s=start_s,
-            finish_s=start_s,
-            attempts=req.attempts,
-            result=res,
-            info=res.failure_info,
-        )
+        if self.default_timeout_s is not None:
+            requests = [
+                r if r.timeout_s is not None
+                else replace(r, timeout_s=self.default_timeout_s)
+                for r in requests
+            ]
+        return run_fleet(
+            requests,
+            {node.name: node},
+            ClusterSpec(n_nodes=1, max_retries=self.max_retries),
+            faults=self.faults,
+        ).outcomes

@@ -237,22 +237,49 @@ def test_admission_footprint_override():
     assert reject is not None and not reject.info.retryable
 
 
-def test_scheduler_cost_bucket_ordering():
+def _cost_ordering_requests():
+    """A costly request arriving before a cheap one."""
     cheap_a = gen.diagonal(16)
     costly_a = gen.random_uniform(256, 256, 8.0, seed=5)
-    reqs = lambda: [
-        Request(id=0, a=costly_a, b=costly_a, arrival_s=0.0),
-        Request(id=1, a=cheap_a, b=cheap_a, arrival_s=0.1),
+    return [
+        Request(id=0, a=costly_a, b=costly_a, arrival_s=1e-9),
+        Request(id=1, a=cheap_a, b=cheap_a, arrival_s=2e-9),
     ]
-    svc = SpGEMMService()
-    plain = ServeScheduler(svc)
-    q = reqs()
-    assert plain._take_batch(q, 0.0)[0].id == 0  # historical arrival order
-    est = RowEstimator(TITAN_V)
-    informed = ServeScheduler(SpGEMMService(), estimator=est)
-    assert informed._cost_bucket(reqs()[1]) < informed._cost_bucket(reqs()[0])
-    q = reqs()
-    assert informed._take_batch(q, 0.0)[0].id == 1  # cheap request first
+
+
+def test_scheduler_cost_bucket_ordering():
+    def start_order(estimator):
+        reqs = _cost_ordering_requests()
+        # Request 9 holds the only worker while 0 and 1 queue behind it.
+        blocker = Request(id=9, a=reqs[0].a, b=reqs[0].b, arrival_s=0.0)
+        sched = ServeScheduler(SpGEMMService(), n_workers=1, estimator=estimator)
+        outs = sched.run([blocker] + reqs)
+        return [o.request_id for o in sorted(outs, key=lambda o: o.start_s)]
+
+    assert start_order(None) == [9, 0, 1]  # arrival order
+    assert start_order(RowEstimator(TITAN_V)) == [9, 1, 0]  # cheap first
+
+
+def test_fleet_node_cost_bucket_ordering():
+    from repro.cluster.bench import ClusterSpec, _make_node
+    from repro.core.params import DEFAULT_PARAMS
+
+    def queue_order(node):
+        for req in _cost_ordering_requests():
+            assert node.admit(req, 0.0) is None
+        order = []
+        while node.queue:
+            req, expired = node.pop_request(0.0)
+            assert not expired
+            order.append(req.id)
+        return order
+
+    plain = _make_node(ClusterSpec(), DEFAULT_PARAMS, 0)
+    assert queue_order(plain) == [0, 1]
+    informed = _make_node(ClusterSpec(estimate=True), DEFAULT_PARAMS, 0)
+    costly, cheap = _cost_ordering_requests()
+    assert informed._cost_bucket(cheap) < informed._cost_bucket(costly)
+    assert queue_order(informed) == [1, 0]
 
 
 def test_plan_cache_est_nbytes_budget_reject():

@@ -348,24 +348,16 @@ class TestScheduler:
             Request(id=1, a=b, b=b, arrival_s=0.0, priority=1),
             Request(id=2, a=b, b=b, arrival_s=0.0, priority=0),
         ]
-        sched = self._sched(n_workers=1, max_batch=1)
+        sched = self._sched(n_workers=1)
         outs = {o.request_id: o for o in sched.run(reqs)}
         # The priority-0 request must start no later than request 1 even
         # though it carries a higher id and equal arrival time.
         assert outs[2].start_s <= outs[1].start_s
 
-    def test_same_structure_requests_batch(self):
-        a = _mesh()
-        sched = self._sched(n_workers=1, max_batch=8)
-        outs = sched.run(_requests(a, [0.0] * 5))
-        assert all(o.ok for o in outs)
-        snap = sched.service.snapshot()
-        assert snap["counters"]["scheduler.batched_requests"] >= 4
-
     def test_deadline_miss_times_out_with_structured_info(self):
         a = _mesh(40)  # service time >> the deadline below
         reqs = _requests(a, [0.0, 0.0, 0.0], timeout_s=1e-7)
-        sched = self._sched(n_workers=1, max_batch=1)
+        sched = self._sched(n_workers=1)
         outs = sched.run(reqs)
         timeouts = [o for o in outs if o.status == "timeout"]
         assert timeouts
@@ -400,8 +392,64 @@ class TestScheduler:
         svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
         with pytest.raises(ValueError):
             ServeScheduler(svc, n_workers=0)
-        with pytest.raises(ValueError):
-            ServeScheduler(svc, max_batch=0)
+
+    def test_admission_counts_work_in_flight(self):
+        """Committed bytes stay committed until the request finishes: a
+        second request arriving while the first runs sees them."""
+        a = _mesh()
+        est = AdmissionController(TITAN_V).estimate_bytes(
+            _requests(a, [0.0])[0].input_bytes()
+        )
+        # Room for one request's estimate, not for two.
+        frac = 1.0 - 1.5 * est / TITAN_V.global_mem_bytes
+        sched = self._sched(
+            n_workers=2, policy=AdmissionPolicy(memory_headroom_frac=frac)
+        )
+        outs = {o.request_id: o for o in sched.run(_requests(a, [0.0, 1e-9, 1.0]))}
+        assert outs[0].ok and outs[0].finish_s > 1e-9
+        assert outs[1].status == "shed"
+        assert outs[1].reject.reason == "memory_pressure"
+        # Released at completion: a later arrival is admitted again.
+        assert outs[2].ok
+
+    @pytest.mark.parametrize("faults", [None, "seed=3;alloc:p=0.9"])
+    def test_scheduler_is_a_one_node_fleet(self, faults):
+        """Differential law: ServeScheduler.run and a one-node fleet with
+        the same seed, workers, queue bound, cache budget and retry limit
+        reach the same outcomes at the same virtual times."""
+        from repro.cluster import ClusterSpec, build_fleet, run_fleet
+
+        cases = serve_corpus()[:3]
+        spec = WorkloadSpec(rate=100_000, duration_s=0.001, timeout_s=0.25, seed=2)
+        plan = parse_fault_spec(faults) if faults else None
+        cluster = ClusterSpec(
+            n_nodes=1, workers_per_node=2, queue_depth=8, plan_cache_mb=64.0,
+            max_retries=2,
+        )
+        fleet = run_fleet(
+            build_requests(cases, spec), build_fleet(cluster), cluster, faults=plan
+        ).outcomes
+        sched = ServeScheduler(
+            SpGEMMService(TITAN_V, plan_cache_bytes=int(64.0 * 1e6)),
+            n_workers=2,
+            policy=AdmissionPolicy(max_queue_depth=8),
+            max_retries=2,
+            faults=plan,
+        )
+        single = sched.run(build_requests(cases, spec))
+
+        def key(o):
+            return (
+                o.request_id, o.status, o.start_s, o.finish_s, o.cache_hit,
+                o.attempts,
+            )
+
+        assert [key(o) for o in single] == [key(o) for o in fleet]
+        statuses = {o.status for o in single}
+        if faults:
+            assert "failed" in statuses and any(o.attempts for o in single)
+        else:
+            assert statuses == {"ok", "shed"}
 
 
 # ---------------------------------------------------------------------------
