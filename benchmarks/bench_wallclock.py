@@ -9,6 +9,8 @@ writes them to ``BENCH_core.json``:
   their speedup ratio;
 * **model path** — the full cost-model pipeline (`speck_multiply`,
   ``mode="model"``) per sweep;
+* **exact path** — the exact product (`esc_multiply`) per sweep, which
+  the model leg materialises outside its timing;
 * **suite path** — `run_suite` end to end, sequentially and on the
   persistent shared-memory worker pool.  The requested worker count is
   clamped to the CPU count and reported as ``effective_workers``; on a
@@ -25,8 +27,9 @@ Usage::
         --out BENCH_core.json --workers 4 [--full] \
         [--baseline BENCH_core.json --max-regress 1.5]
 
-With ``--baseline`` the run compares its batched execute wall-clock
-against the committed baseline and exits 1 when it regressed more than
+With ``--baseline`` the run compares its batched execute, sampled
+estimation and exact-product wall-clock against the committed baseline
+and exits 1 when one regressed more than
 ``--max-regress`` (the CI regression guard).  Ratios (speedups) are
 machine-independent; absolute seconds are only comparable on similar
 hardware — the guard therefore uses a generous factor.
@@ -57,6 +60,7 @@ from repro.core.batch_execute import execute_batched, execute_scalar
 from repro.core.params import DEFAULT_PARAMS
 from repro.eval import effective_workers, full_corpus, run_suite, small_corpus
 from repro.gpu import TITAN_V
+from repro.kernels import esc_multiply
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -111,6 +115,24 @@ def bench_model(cases, repeats: int) -> Dict[str, object]:
 
     run()  # warm-up
     total = _best_of(run, repeats)
+    for case in cases:
+        case.release()
+    return {"total_s": total, "cases": len(prepared)}
+
+
+def bench_esc(cases, repeats: int) -> Dict[str, object]:
+    """Exact-product (``esc_multiply``) wall-clock per corpus sweep."""
+    prepared = [case.matrices() for case in cases]
+    # ~10 ms per sweep on the CI subset: loop it like the estimate leg.
+    inner = 5
+
+    def run():
+        for _ in range(inner):
+            for a, b in prepared:
+                esc_multiply(a, b)
+
+    run()  # warm-up
+    total = _best_of(run, repeats) / inner
     for case in cases:
         case.release()
     return {"total_s": total, "cases": len(prepared)}
@@ -322,6 +344,7 @@ def main(argv: List[str] | None = None) -> int:
         },
         "execute": timed("execute", bench_execute, make_cases(), args.repeats),
         "model": timed("model", bench_model, make_cases(), args.repeats),
+        "esc": timed("esc", bench_esc, make_cases(), args.repeats),
         "estimate": timed("estimate", bench_estimate, make_cases(), args.repeats),
         "suite": timed("suite", bench_suite, make_cases, args.workers),
     }
@@ -340,6 +363,7 @@ def main(argv: List[str] | None = None) -> int:
     print(f"execute: scalar {ex['scalar_s']:.3f}s, batched {ex['batched_s']:.3f}s "
           f"-> {ex['speedup']:.1f}x")
     print(f"model:   {report['model']['total_s']:.3f}s over {report['model']['cases']} cases")
+    print(f"esc:     {report['esc']['total_s']:.4f}s over {report['esc']['cases']} cases")
     es = report["estimate"]
     print(f"estimate: sampled {es['estimate_s']:.4f}s vs exact analysis "
           f"{es['analyze_s']:.4f}s -> {es['speedup']:.1f}x")
@@ -370,7 +394,7 @@ def main(argv: List[str] | None = None) -> int:
             print("error: batched execute wall-clock regressed beyond the "
                   "allowed factor", file=sys.stderr)
             return 1
-        # Older baselines predate the estimate entry: skip, don't fail.
+        # Older baselines predate the estimate and esc entries: skip them.
         base_estimate = base.get("estimate", {}).get("estimate_s")
         if base_estimate:
             eratio = es["estimate_s"] / float(base_estimate)
@@ -379,6 +403,15 @@ def main(argv: List[str] | None = None) -> int:
             if eratio > args.max_regress:
                 print("error: sampled estimation wall-clock regressed "
                       "beyond the allowed factor", file=sys.stderr)
+                return 1
+        base_esc = base.get("esc", {}).get("total_s")
+        if base_esc:
+            cratio = report["esc"]["total_s"] / float(base_esc)
+            print(f"regression check: exact product {cratio:.2f}x of "
+                  f"baseline (limit {args.max_regress:.2f}x)")
+            if cratio > args.max_regress:
+                print("error: exact-product wall-clock regressed beyond "
+                      "the allowed factor", file=sys.stderr)
                 return 1
     return serve_rc
 

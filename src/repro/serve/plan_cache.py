@@ -195,6 +195,11 @@ class PlanCache:
     ``nbytes()`` of ready plans exceeds the budget, least-recently-used
     plans are evicted; a single plan larger than the whole budget is
     served but not retained.
+
+    The byte total is kept as a running sum of each resident plan's size
+    when it was registered, populated (``note_populated``) or adopted, so
+    ``bytes_cached`` and each eviction step are O(1) rather than a pass
+    over every entry.
     """
 
     def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:
@@ -202,6 +207,9 @@ class PlanCache:
             raise ValueError("plan cache budget must be positive")
         self.max_bytes = int(max_bytes)
         self._plans: "OrderedDict[Tuple[str, ...], CachedPlan]" = OrderedDict()
+        #: Accounted ``nbytes()`` per resident key, and their sum.
+        self._sizes: Dict[Tuple[str, ...], int] = {}
+        self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -259,6 +267,7 @@ class PlanCache:
                     plan = CachedPlan(key=key, mode=mode)
                     self._plans[key] = plan
                     self._plans.move_to_end(key)
+                    self._account_locked(key)
                     return plan, False
                 self._plans.move_to_end(key)
                 plan.hits += 1
@@ -273,6 +282,7 @@ class PlanCache:
                     return CachedPlan(key=key, mode=mode), False
                 plan = CachedPlan(key=key)
                 self._plans[key] = plan
+                self._account_locked(key)
             plan.mode = mode
             return plan, False
 
@@ -282,10 +292,12 @@ class PlanCache:
         with self._lock:
             if plan.key in self._plans:
                 self._plans.move_to_end(plan.key)
+                self._account_locked(plan.key)
                 if plan.ready:
                     self.inserts += 1
             elif plan.ready and plan.nbytes() <= self.max_bytes:
                 self._plans[plan.key] = plan
+                self._account_locked(plan.key)
                 self.inserts += 1
             self._evict_locked()
 
@@ -348,26 +360,31 @@ class PlanCache:
                 return existing
             self._plans[plan.key] = plan
             self._plans.move_to_end(plan.key)
+            self._account_locked(plan.key)
             self.inserts += 1
             self._evict_locked()
             return plan
 
+    def _account_locked(self, key: Tuple[str, ...]) -> None:
+        """Re-measure the resident plan under ``key`` into the total."""
+        size = self._plans[key].nbytes()
+        self._bytes += size - self._sizes.get(key, 0)
+        self._sizes[key] = size
+
     def _evict_locked(self) -> None:
-        while self._bytes_locked() > self.max_bytes and self._plans:
+        while self._bytes > self.max_bytes and self._plans:
             key, victim = next(iter(self._plans.items()))
             if len(self._plans) == 1 and not victim.ready:
                 break  # an in-flight cold plan holds no arrays yet
             del self._plans[key]
+            self._bytes -= self._sizes.pop(key)
             self.evictions += 1
-
-    def _bytes_locked(self) -> int:
-        return sum(p.nbytes() for p in self._plans.values())
 
     # ------------------------------------------------------------------
     @property
     def bytes_cached(self) -> int:
         with self._lock:
-            return self._bytes_locked()
+            return self._bytes
 
     def __len__(self) -> int:
         with self._lock:
@@ -380,6 +397,8 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
+            self._sizes.clear()
+            self._bytes = 0
 
     def stats(self) -> PlanCacheStats:
         with self._lock:
@@ -393,7 +412,7 @@ class PlanCache:
                 inserts=self.inserts,
                 rejects=self.rejects,
                 refines=self.refines,
-                bytes_cached=self._bytes_locked(),
+                bytes_cached=self._bytes,
                 entries=len(self._plans),
                 per_key_hits=per_key,
                 extra=(

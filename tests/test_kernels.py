@@ -1,9 +1,16 @@
 """Tests for the exact reference kernels against independent oracles."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.check.generator import generate_case
+from repro.eval.suite import small_corpus
+from repro.kernels import reference
 from repro.kernels import (
     count_flops,
     esc_multiply,
@@ -14,7 +21,10 @@ from repro.kernels import (
 )
 from repro.matrices.csr import CSR, csr_identity, csr_zeros
 
+from repro.matrices import generators as gen
+
 from conftest import csr_matrices, random_csr
+from esc_spec import bit_identical, esc_spec
 
 
 def scipy_product(a: CSR, b: CSR) -> np.ndarray:
@@ -129,3 +139,59 @@ class TestStructuralKernels:
         a = random_csr(rng, 3, 4, 0.5)
         with pytest.raises(ValueError):
             row_products(a, a)
+
+
+class TestSlabbedEsc:
+    """The row-slabbed packed-key ESC against its stable-sort spec."""
+
+    def test_wide_b_key_does_not_overflow(self):
+        # rows * b.cols + cols overflows int64 for a 2^61-wide B; the
+        # kernel ranks B's columns instead of packing their raw ids.
+        wide = 1 << 61
+        a = CSR.from_coo(
+            list(range(8)) * 2, [0] * 8 + [1] * 8, np.arange(1.0, 17.0), (8, 2)
+        )
+        b = CSR.from_coo([0, 0, 1], [5, wide - 1, 5], [2.0, 3.0, 4.0], (2, wide))
+        c = esc_multiply(a, b)
+        # C[i, 5] = A[i,0]*2 + A[i,1]*4 and C[i, wide-1] = A[i,0]*3.
+        expected = CSR(
+            np.arange(0, 17, 2),
+            [5, wide - 1] * 8,
+            [v for i in range(8) for v in (2.0 * (i + 1) + 4.0 * (i + 9), 3.0 * (i + 1))],
+            (8, wide),
+        )
+        assert bit_identical(c, expected)
+        assert np.array_equal(symbolic_row_nnz(a, b), np.full(8, 2))
+
+    @given(seed=st.integers(0, 2**16), index=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stable_sort_spec(self, seed, index):
+        # Every fuzz family and mutator; slab caps from one product (one
+        # row per slab) to one slab for the whole matrix.
+        case = generate_case(seed, index)
+        spec = esc_spec(case.a, case.b)
+        for cap in (1, 7, reference._SLAB_PRODUCTS, 1 << 40):
+            with mock.patch.object(reference, "_SLAB_PRODUCTS", cap):
+                c = esc_multiply(case.a, case.b)
+                nnz = symbolic_row_nnz(case.a, case.b)
+            assert bit_identical(c, spec), cap
+            assert np.array_equal(nnz, c.row_nnz()), cap
+
+    def test_small_corpus_bit_identical(self):
+        for case in small_corpus():
+            a, b = case.matrices()
+            assert bit_identical(esc_multiply(a, b), esc_spec(a, b)), case.name
+
+    def test_memory_bounded_by_output(self):
+        # 14.3M products: a whole-matrix sort holds ~48 B per product
+        # (~650 MB); slabs keep the peak near C plus one slab.
+        a = gen.banded(12_000, 24, 0.7, seed=12_000)
+        assert int(row_products(a, a).sum()) >= 10_000_000
+        tracemalloc.start()
+        try:
+            c = esc_multiply(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c_bytes = c.indptr.nbytes + c.indices.nbytes + c.data.nbytes
+        assert peak <= c_bytes + 64 * 2**20

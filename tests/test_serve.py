@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.params import DEFAULT_PARAMS
 from repro.eval.suite import MatrixCase, small_corpus
 from repro.faults import parse_fault_spec
 from repro.gpu import TITAN_V
+from repro.graph.delta import incremental_multiply, random_delta
 from repro.matrices import generators as gen
 from repro.serve import (
     AdmissionController,
@@ -27,6 +30,7 @@ from repro.serve import (
     run_serve_bench,
     serve_corpus,
 )
+from repro.serve.admission import BrownoutInfo
 
 
 def _mesh(n=16):
@@ -87,6 +91,51 @@ class TestPlanCache:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             PlanCache(max_bytes=0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["multiply", "register", "adopt", "patch", "clear"]),
+                st.integers(0, 2),
+                st.sampled_from(["full", "lb_fallback", "minimal"]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    # A full-mode lookup refining a brownout plan that nothing repopulates.
+    @example([("multiply", 0, "minimal"), ("register", 0, "full")])
+    @settings(max_examples=60, deadline=None)
+    def test_running_byte_total_matches_resident_plans(self, steps):
+        # The cache keeps a running byte total; after any sequence of
+        # registrations, populations, refines, adoptions, incremental
+        # plan patches, evictions and clears it equals the plain sum.
+        ops = [gen.poisson2d(n) for n in (5, 6, 7)]
+        b = gen.random_uniform(ops[0].cols, ops[0].cols, 2.0, seed=6)
+        donor = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
+        for m in ops:
+            donor.multiply(m, m)
+        donated = [donor.plans.peek(plan_key(m, m)) for m in ops]
+        budget = int(2.5 * max(p.nbytes() for p in donated))
+        svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS, plan_cache_bytes=budget)
+        for op, i, rung in steps:
+            a = ops[i]
+            if op == "multiply":
+                brownout = None if rung == "full" else BrownoutInfo(rung, 1.0, 1.0, 0.0)
+                svc.multiply(a, a, brownout=brownout)
+            elif op == "register":
+                svc.plans.get_or_create(a, a, mode=rung)
+            elif op == "adopt":
+                svc.plans.adopt(donated[i])
+            elif op == "patch":
+                c_old = svc.multiply(ops[0], b).c
+                delta = random_delta(ops[0], rng=i, frac=0.1)
+                incremental_multiply(ops[0], b, c_old, delta, service=svc)
+            else:
+                svc.plans.clear()
+            resident = list(svc.plans._plans.values())
+            assert svc.plans.bytes_cached == sum(p.nbytes() for p in resident)
+            assert svc.plans.stats().entries == len(resident)
 
     def test_clear_empties_cache(self):
         svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
